@@ -98,6 +98,9 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         # round-record choke point, so telemetry emission belongs there.
         "repro/simulator/event_core.py::EventCore._completion_event_round",
         "repro/simulator/event_core.py::EventCore._rounds_until",
+        # The per-round fallback emits only through Simulator._round_record,
+        # the per-round record choke point.
+        "repro/simulator/event_core.py::EventCore.per_round",
     }
 )
 

@@ -52,10 +52,10 @@ def main(argv=None) -> int:
         "--events",
         action="store_true",
         help=(
-            "run only the event-core benchmark: event-driven engine vs the "
-            "round-loop oracle (long-horizon speedup cell, scenario and "
-            "policy parity matrices); merges an 'event_core' section into "
-            "BENCH_core.json"
+            "run only the event-core benchmark: fast-forward through the "
+            "event core vs the stepping loop (long-horizon speedup cell, "
+            "scenario and policy parity matrices); merges an 'event_core' "
+            "section into BENCH_core.json"
         ),
     )
     mode.add_argument(

@@ -1,6 +1,6 @@
 """Typed simulation events and the event heap of the event-driven core.
 
-The event-driven engine (:mod:`repro.simulator.event_core`) organises its
+The simulator's skip executor (:mod:`repro.simulator.event_core`) organises its
 round-skipping around a heap of :class:`SimEvent` entries: the next thing
 that can change a scheduling decision.  Four kinds cover every source of
 change the round loop reacts to:
@@ -15,15 +15,16 @@ change the round loop reacts to:
   e.g. a Tiresias demotion threshold crossing);
 * ``KIND_COMPLETION`` -- a running job reaching its termination target, found
   by the exact per-round replay of
-  :meth:`~repro.simulator.execution.ExecutionModel.steady_completion_round`.
+  :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`.
 
-**Event time is the absolute round index**, not a float timestamp.  The round
-loop is the differential oracle the event engine must match bit-for-bit, and
-the loop quantises every observable effect to a round boundary: an arrival at
-t=1234.5s takes effect in the first round whose ``pop_wait_queue`` sees it.
-Storing the integer round keeps heap ordering exact (no float-comparison
-ambiguity between event sources) while the engine derives the round index
-from float timestamps with the oracle's own accumulated-clock comparisons.
+**Event time is the absolute round index**, not a float timestamp.  The
+stepping round loop is the differential oracle the event core must match
+bit-for-bit, and the loop quantises every observable effect to a round
+boundary: an arrival at t=1234.5s takes effect in the first round whose
+``pop_wait_queue`` sees it.  Storing the integer round keeps heap ordering
+exact (no float-comparison ambiguity between event sources) while the core
+derives the round index from float timestamps with the loop's own
+accumulated-clock comparisons.
 
 Deterministic tie-breaking is the tuple order ``(time, kind, id)``:
 
@@ -81,8 +82,8 @@ class EventHeap:
     A thin, explicit wrapper over :mod:`heapq`: tuple comparison on the
     NamedTuple *is* the tie-break contract, so push/pop order is a pure
     function of the event set -- no insertion-order dependence, which is what
-    makes the event engine's schedule reproducible and comparable against the
-    round-loop oracle.
+    makes the event core's schedule reproducible and comparable against the
+    stepping loop.
     """
 
     __slots__ = ("_entries",)

@@ -10,10 +10,10 @@ simulated twice from the same compiled scenario:
 * **stepping** -- the same engine with ``fast_forward=False``, executing
   every round (what per-round failure injection used to force).
 
-Both runs must produce identical per-job completion times, round logs and
-round counts (``schedule_parity``) -- scenario dynamics are scheduled state
-changes, not noise, so fast-forward remains a pure performance feature under
-churn.  The report also carries per-scenario summaries: JCT distribution
+Both runs must produce identical per-job completion times, round logs,
+round counts and end times (``schedule_parity``) -- scenario dynamics are
+scheduled state changes, not noise, so fast-forward remains a pure
+performance feature under churn.  The report also carries per-scenario summaries: JCT distribution
 (avg/median/p95/p99), policy preemptions, event-driven evictions and the
 capacity-weighted utilisation integrated over the run.
 """
@@ -70,6 +70,7 @@ def _cell_parity(fastforward: SimulationResult, stepping: SimulationResult) -> b
         ff_completions == step_completions
         and fastforward.round_log == stepping.round_log
         and fastforward.rounds == stepping.rounds
+        and fastforward.end_time == stepping.end_time
     )
 
 

@@ -1,12 +1,24 @@
 """The event-driven skip core: heap-organised strides, batched accounting.
 
-:class:`EventCore` is the ``engine="events"`` execution strategy of
+:class:`EventCore` is the one skip executor of
 :class:`~repro.simulator.engine.Simulator`.  The round loop keeps making every
 *decision* -- full rounds run the identical eight steps, and the skip
 *eligibility* logic in ``Simulator._fast_forward`` (witnesses, policy bounds,
-admission quiescence) is shared verbatim -- but once a skip is sanctioned,
-execution is handed here instead of to the classic per-round executors.  The
-clock then jumps from event to event:
+admission quiescence) decides whether and how far to skip -- and once a skip
+is sanctioned it is executed here, on one of three paths:
+
+* :meth:`EventCore.chain` -- gang-steady drain chains, jumping completion to
+  completion;
+* :meth:`EventCore.steady` -- decision-stable strides ending one round short
+  of the first completion;
+* :meth:`EventCore.light` -- the rest: batched idle segments, or the
+  per-round fallback (:meth:`EventCore.per_round`) whenever batching is not
+  sound -- metric collectors or per-round iteration jitter, short
+  gang-steady windows, and managers whose ``advance_time``,
+  ``update_metrics`` or ``prune_completed_jobs`` have per-round effects
+  (such as the deployment path's lease-releasing manager).
+
+On the batched paths the clock jumps from event to event:
 
 * upcoming **completions** are probed once per (job, allocation epoch) via the
   exact replay of :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`
@@ -26,13 +38,15 @@ clock then jumps from event to event:
   (``round_log_limit=0``) and no trace recorder attached, a whole segment is
   literally O(1).
 
-Bit-identity with the round-loop oracle rests on three mirrored mechanisms,
-each of which the parity fuzz harness exercises:
+Bit-identity with the stepping loop (``fast_forward=False``, the paper's
+round loop) rests on three mirrored mechanisms, each of which the parity fuzz
+harness exercises:
 
-1. **round counting** -- every horizon->round conversion uses the oracle's own
-   accumulated-clock comparison (``while clock + rd < horizon: clock += rd``),
-   with a closed form only where float accumulation is provably exact
-   (integral clock and round duration below 2**53);
+1. **round counting** -- every horizon->round conversion uses the per-round
+   loop's accumulated-clock comparison
+   (``while clock + rd < horizon: clock += rd``), with a closed form only
+   where float accumulation is provably exact (integral clock and round
+   duration below 2**53);
 2. **progress accounting** -- deferred/batched advancement replays the exact
    per-round float fold of ``ExecutionModel.advance`` (same values, same
    order), so completion times agree to the last bit;
@@ -116,17 +130,13 @@ class EventCore:
         self.sim = sim
         self.heap = EventHeap()
         self._probes: Dict[int, _CompletionProbe] = {}
-        # Batched execution bypasses the manager's per-round advance_time
-        # calls (and, for idle segments, its per-round update_metrics/prune
-        # no-ops), so a manager subclass overriding those hooks keeps the
-        # classic executors -- mirroring the engine's unmigrated-manager
-        # check for ClusterManager.update.
-        mgr_cls = type(sim.manager)
-        self._clock_batchable = mgr_cls.advance_time is BloxManager.advance_time
+        # Batched idle segments also bypass the manager's per-round prune
+        # no-ops, so a manager overriding prune keeps the per-round path
+        # there (overridden advance_time/update_metrics already rule out
+        # every batched path via Simulator._stride_accelerable).
         self._idle_batchable = (
-            self._clock_batchable
-            and mgr_cls.update_metrics is BloxManager.update_metrics
-            and mgr_cls.prune_completed_jobs is BloxManager.prune_completed_jobs
+            type(sim.manager).prune_completed_jobs
+            is BloxManager.prune_completed_jobs
         )
 
     # ------------------------------------------------------------------
@@ -134,13 +144,13 @@ class EventCore:
     # ------------------------------------------------------------------
 
     def _rounds_until(self, horizon: float, round_cap: int) -> int:
-        """Rounds skippable before ``horizon``, capped -- oracle-identically.
+        """Rounds skippable before ``horizon``, capped -- exactly as stepping.
 
-        The oracle counts with ``while clock + rd < horizon: clock += rd``;
-        when clock and round duration are float integers the accumulated sums
-        are exact, so the count has a closed form (guess-and-adjust against
-        the same float comparison).  Otherwise the accumulation is mirrored
-        literally.
+        The per-round loop counts with
+        ``while clock + rd < horizon: clock += rd``; when clock and round
+        duration are float integers the accumulated sums are exact, so the
+        count has a closed form (guess-and-adjust against the same float
+        comparison).  Otherwise the accumulation is mirrored literally.
         """
         if round_cap <= 0:
             return 0
@@ -229,18 +239,21 @@ class EventCore:
         for _ in range(rounds):
             clock += rd
             number += 1
-            record = RoundRecord(
-                round_number=number,
-                time=clock,
-                running_jobs=running,
-                queued_jobs=queued,
-                utilization=utilization,
-                scheduler_name=scheduler_name,
-                admission_name=admission_name,
-                busy_capacity=busy,
-                healthy_capacity=healthy,
+            # Positional in field order: keyword passing costs more than the
+            # rest of this loop body on long segments.
+            append(
+                RoundRecord(
+                    number,
+                    clock,
+                    running,
+                    queued,
+                    utilization,
+                    scheduler_name,
+                    admission_name,
+                    busy,
+                    healthy,
+                )
             )
-            append(record)
             if recorder is not None:
                 recorder.emit(
                     EVENT_ROUND,
@@ -268,8 +281,7 @@ class EventCore:
 
         Cache-validated against the job's version stamps; scans resume from
         the cached state, so across a whole run each round of a job's life is
-        probed at most once per allocation epoch (the classic executors
-        re-probe from scratch at every fast-forward entry).
+        probed at most once per allocation epoch.
         """
         if rate <= 0:
             return None
@@ -329,8 +341,8 @@ class EventCore:
             or sim.job_state.count_active()
         ):
             # Short gang-steady windows, collector-observed or jittered
-            # strides, and unbatchable managers keep the oracle's loop.
-            return sim._fast_forward_light(horizon, running, round_log)
+            # strides, and per-round managers step round by round.
+            return self.per_round(horizon, running, round_log)
         mgr = sim.manager
         rounds = self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number)
         if rounds > 0:
@@ -338,11 +350,44 @@ class EventCore:
             sim.job_state.current_time = mgr.current_time
         return False
 
+    def per_round(self, horizon: float, running: int, round_log: List) -> bool:
+        """Light rounds one at a time: advance + log, nothing else.
+
+        The fallback for every skip the batched paths cannot claim.  Each
+        round runs the stepping loop's own manager calls (clock, progress,
+        prune, collectors, record) and skips only the guaranteed-no-op
+        decision steps; breaks back to the full loop as soon as a completion
+        changes the steady state.
+        """
+        sim = self.sim
+        mgr = sim.manager
+        job_state = sim.job_state
+        cluster = sim.cluster_state
+        while (
+            mgr.round_number + 1 < sim.max_rounds
+            and mgr.current_time + mgr.round_duration < horizon
+        ):
+            mgr.advance_time()
+            mgr.update_metrics(cluster, job_state)
+            released = mgr.prune_completed_jobs(cluster, job_state)
+            if sim._tracked_all_finished():
+                return True
+            # Keep the sanctioned "now" side-channel fresh for collectors,
+            # mirroring the refresh the full loop does before its policy calls.
+            job_state.current_time = mgr.current_time
+            for collector in sim.metric_collectors:
+                collector.collect(job_state, cluster, mgr.current_time)
+            round_log.append(sim._round_record())
+            if released or job_state.count_with_status(JobStatus.RUNNING) != running:
+                # A completion changed the steady state; let the full loop
+                # take over again (its next rounds are no-ops for the policies
+                # but cheap, and they re-establish the skip conditions).
+                break
+        return False
+
     def steady(self, horizon: float, round_log: List) -> bool:
         """Decision-stable strides: batched records + bulk advancement."""
         sim = self.sim
-        if not self._clock_batchable:
-            return sim._fast_forward_steady(horizon, round_log)
         mgr = sim.manager
         job_state = sim.job_state
         execution = sim.execution_model
@@ -384,18 +429,18 @@ class EventCore:
     def chain(self, round_log: List) -> bool:
         """Gang-steady drain chain organised around the event heap.
 
-        Mirrors ``Simulator._fast_forward_chain`` segment for segment: under
-        the gang witness a completion cannot change any decision, so the heap
-        is seeded with every running job's completion event (cache-amortised
-        probes) and the chain jumps completion to completion, handing back to
-        the full loop at the first boundary event.  Ties at one round resolve
-        by the heap's ``(time, kind, id)`` order -- boundary kinds first,
-        which is exactly the oracle's implicit behaviour of materialising a
+        Under the gang witness a completion cannot change any decision, so
+        the heap is seeded with every running job's completion event
+        (cache-amortised probes) and the chain jumps completion to
+        completion, handing back to the full loop at the first boundary
+        event.  Only the completing jobs are materialised at a completion
+        round; every other job's advancement is deferred and flushed once,
+        replaying its per-round fold in order.  Ties at one round resolve by
+        the heap's ``(time, kind, id)`` order -- boundary kinds first, which
+        is exactly the stepping loop's behaviour of materialising a
         same-round completion inside the boundary's full round.
         """
         sim = self.sim
-        if not self._clock_batchable:
-            return sim._fast_forward_chain(round_log)
         mgr = sim.manager
         job_state = sim.job_state
         execution = sim.execution_model

@@ -212,29 +212,6 @@ class ExecutionModel:
             effective_rate=rate,
         )
 
-    def steady_completion_round(
-        self,
-        job: Job,
-        round_duration: float,
-        max_rounds: int,
-        rate: float,
-    ) -> Optional[int]:
-        """Stride round (1-based) in which a running job would complete.
-
-        A pure probe: replays the per-round work/overhead accounting of
-        :meth:`advance` -- identical values, identical operation order --
-        without mutating the job, so the simulator can size a fast-forward
-        stride exactly.  Returns ``None`` when the job cannot complete within
-        ``max_rounds`` rounds at the given (constant) rate.
-        """
-        if rate <= 0:
-            return None
-        target = self.termination.work_target(job)
-        completing, _work, _pending = self.steady_scan(
-            target, rate, round_duration, job.work_done, job.pending_overhead, max_rounds
-        )
-        return completing
-
     @staticmethod
     def steady_scan(
         target: float,
@@ -244,10 +221,12 @@ class ExecutionModel:
         pending: float,
         max_rounds: int,
     ) -> Tuple[Optional[int], float, float]:
-        """Resumable form of :meth:`steady_completion_round`'s replay.
+        """Pure, resumable probe of the round in which a job would complete.
 
-        Replays up to ``max_rounds`` rounds of the per-round accounting from
-        the explicit ``(work, pending)`` state and returns
+        Replays up to ``max_rounds`` rounds of the per-round accounting of
+        :meth:`advance` under a constant ``rate`` -- without mutating any
+        job, so the skip executor can size strides exactly -- from the
+        explicit ``(work, pending)`` state and returns
         ``(completing_round, work, pending)`` where ``completing_round`` is
         1-based within *this* scan or ``None``.  When no completion is found
         the returned state is exactly the state after ``max_rounds`` rounds,
@@ -309,8 +288,8 @@ class ExecutionModel:
         (same values, same order, per job), so the job's state after the call
         is bit-identical to ``rounds`` individual ``advance`` calls --
         including the sub-round completion time if the job finishes in the
-        stride's final round (callers size strides with
-        :meth:`steady_completion_round` so a completion can only fall there).
+        stride's final round (callers size strides with :meth:`steady_scan`
+        so a completion can only fall there).
         The application metrics are pure functions of the final state and the
         constant rate, so they are flushed once at the end instead of per
         round.

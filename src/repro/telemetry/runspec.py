@@ -32,6 +32,8 @@ from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.sinks import TraceSink
 
 MODES = ("core", "runtime", "federation")
+#: ``engine`` values a recorded run spec may still carry (see ``from_dict``).
+LEGACY_ENGINES = ("rounds", "events")
 
 
 def _policy_factories() -> Dict[str, type]:
@@ -84,22 +86,12 @@ class RunSpec:
     #: selects the registry's shrunk smoke variant.
     scenario: Optional[str] = None
     scenario_smoke: bool = False
-    #: Simulation engine: the classic round loop (``rounds``, the
-    #: differential oracle) or the event-heap core (``events``).  Both must
-    #: produce bit-identical schedules, so a trace recorded under one engine
-    #: replays cleanly under either -- but the engine is part of the spec so
-    #: a replay re-drives the run exactly as recorded.
-    engine: str = "rounds"
 
     def __post_init__(self) -> None:
         from repro.federation.router import ROUTER_FACTORIES
 
         if self.mode not in MODES:
             raise TraceFormatError(f"unknown run mode {self.mode!r}; expected {MODES}")
-        if self.engine not in ("rounds", "events"):
-            raise TraceFormatError(
-                f"unknown engine {self.engine!r}; expected 'rounds' or 'events'"
-            )
         if self.policy not in _policy_factories():
             raise TraceFormatError(
                 f"unknown policy {self.policy!r}; expected one of "
@@ -141,6 +133,17 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "RunSpec":
+        record = dict(record)
+        # Headers recorded while the simulator had an engine switch carry an
+        # ``engine`` key.  Both values named the same bit-identical schedule,
+        # so the key is dropped; anything else is malformed input.
+        if "engine" in record:
+            engine = record.pop("engine")
+            if engine not in LEGACY_ENGINES:
+                raise TraceFormatError(
+                    f"unknown engine {engine!r} in run spec; expected one of "
+                    f"{LEGACY_ENGINES}"
+                )
         known = {f.name for f in fields(cls)}
         unknown = set(record) - known
         if unknown:
@@ -182,26 +185,29 @@ def run_recorded(
     sink: TraceSink,
     started_at: Optional[float] = None,
     write_header: bool = True,
+    fast_forward: bool = True,
 ) -> None:
     """Execute ``spec`` start to finish, streaming its events into ``sink``.
 
     The caller owns the sink (and closes it); ``started_at`` is the caller's
     wall clock for the header stamp and never enters any event payload.
+    ``fast_forward=False`` records the same run on the stepping loop; it is
+    not part of the spec because both settings emit the same stream.
     """
     if write_header:
         sink.write_header(spec.header(started_at))
     if spec.mode == "core":
-        _run_core(spec, sink)
+        _run_core(spec, sink, fast_forward)
     elif spec.mode == "runtime":
-        _run_runtime(spec, sink)
+        _run_runtime(spec, sink, fast_forward)
     else:
-        _run_federation(spec, sink)
+        _run_federation(spec, sink, fast_forward)
     flush = getattr(sink, "flush", None)
     if flush is not None:
         flush()
 
 
-def _run_core(spec: RunSpec, sink: TraceSink) -> None:
+def _run_core(spec: RunSpec, sink: TraceSink, fast_forward: bool) -> None:
     from repro.simulator.engine import Simulator
 
     if spec.scenario is not None:
@@ -219,7 +225,7 @@ def _run_core(spec: RunSpec, sink: TraceSink) -> None:
             cluster_manager=compiled.make_cluster_manager(),
             tracked_job_ids=compiled.trace.tracked_ids(),
             recorder=TraceRecorder(sink, source="sim"),
-            engine=spec.engine,
+            fast_forward=fast_forward,
         ).run()
         return
 
@@ -230,11 +236,11 @@ def _run_core(spec: RunSpec, sink: TraceSink) -> None:
         placement_policy=_placement_factories()[spec.placement](),
         round_duration=spec.round_duration,
         recorder=TraceRecorder(sink, source="sim"),
-        engine=spec.engine,
+        fast_forward=fast_forward,
     ).run()
 
 
-def _run_runtime(spec: RunSpec, sink: TraceSink) -> None:
+def _run_runtime(spec: RunSpec, sink: TraceSink, fast_forward: bool) -> None:
     from repro.runtime.central_scheduler import CentralScheduler
     from repro.simulator.overheads import OverheadModel
 
@@ -247,11 +253,11 @@ def _run_runtime(spec: RunSpec, sink: TraceSink) -> None:
         lease_protocol="optimistic",
         overhead_model=OverheadModel(),
         recorder=TraceRecorder(sink, source="runtime"),
-        engine=spec.engine,
+        fast_forward=fast_forward,
     ).run()
 
 
-def _run_federation(spec: RunSpec, sink: TraceSink) -> None:
+def _run_federation(spec: RunSpec, sink: TraceSink, fast_forward: bool) -> None:
     from repro.federation.engine import FederationEngine
     from repro.federation.router import make_router
     from repro.federation.shard import ShardSimulator
@@ -267,7 +273,7 @@ def _run_federation(spec: RunSpec, sink: TraceSink) -> None:
                 placement_policy=_placement_factories()[spec.placement](),
                 round_duration=spec.round_duration,
                 recorder=TraceRecorder(sink, source=f"shard{shard_id}"),
-                engine=spec.engine,
+                fast_forward=fast_forward,
             )
         )
     FederationEngine(

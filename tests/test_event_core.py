@@ -2,11 +2,11 @@
 
 Covers the event primitives (:class:`~repro.core.events.SimEvent` ordering,
 :class:`~repro.core.events.EventHeap` behaviour), the deterministic
-``(time, kind, id)`` tie-break contract, the ``engine=`` switch validation,
-the exact clock arithmetic the event core uses for O(1) jumps, and the
-simultaneous-event regression: an arrival, a completion and a cluster-churn
-firing all landing on the *same* round boundary must replay bit-identically
-under both engines.
+``(time, kind, id)`` tie-break contract, the exact clock arithmetic the event
+core uses for O(1) jumps, and the simultaneous-event regression: an arrival,
+a completion and a cluster-churn firing all landing on the *same* round
+boundary must replay the stepping loop (``fast_forward=False``)
+bit-identically.
 """
 
 import pytest
@@ -20,8 +20,8 @@ from repro.core.events import (
     EventHeap,
     SimEvent,
 )
-from repro.core.exceptions import ConfigurationError
-from repro.core.job import Job
+from repro.core.blox_manager import BloxManager
+from repro.core.job import Job, JobStatus
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.simulator.engine import Simulator
@@ -30,7 +30,7 @@ from repro.workloads.philly import generate_philly_trace
 ROUND = 300.0
 
 
-def make_sim(jobs, engine, cluster_manager=None, **kwargs):
+def make_sim(jobs, fast_forward=True, cluster_manager=None, **kwargs):
     return Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
         jobs=jobs,
@@ -38,7 +38,7 @@ def make_sim(jobs, engine, cluster_manager=None, **kwargs):
         placement_policy=ConsolidatedPlacement(),
         round_duration=ROUND,
         cluster_manager=cluster_manager,
-        engine=engine,
+        fast_forward=fast_forward,
         **kwargs,
     )
 
@@ -113,23 +113,6 @@ def test_event_heap_orders_pushes():
 
 
 # ----------------------------------------------------------------------
-# Engine switch
-# ----------------------------------------------------------------------
-
-
-def test_unknown_engine_rejected():
-    trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        make_sim(trace.fresh_jobs(), engine="instant")
-
-
-def test_engine_selects_event_core():
-    trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    assert make_sim(trace.fresh_jobs(), engine="rounds")._event_core is None
-    assert make_sim(trace.fresh_jobs(), engine="events")._event_core is not None
-
-
-# ----------------------------------------------------------------------
 # Exact clock arithmetic (the O(1)-jump licence)
 # ----------------------------------------------------------------------
 
@@ -146,7 +129,7 @@ def _oracle_rounds_until(clock, rd, horizon, cap):
 def test_rounds_until_matches_oracle_accumulation(rd):
     """Closed-form and mirrored paths both equal the oracle's float loop."""
     trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    sim = make_sim(trace.fresh_jobs(), engine="events")
+    sim = make_sim(trace.fresh_jobs())
     core = sim._event_core
     sim.manager.round_duration = rd
     for start_rounds in (0, 1, 7, 1001):
@@ -172,7 +155,7 @@ def test_rounds_until_matches_oracle_accumulation(rd):
 @pytest.mark.parametrize("rd", [300.0, 287.5])
 def test_advance_clock_bit_equal_to_repeated_adds(rd):
     trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    sim = make_sim(trace.fresh_jobs(), engine="events")
+    sim = make_sim(trace.fresh_jobs())
     core = sim._event_core
     sim.manager.round_duration = rd
     sim.manager.current_time = 0.0
@@ -237,15 +220,15 @@ def _collision_jobs():
 
 def test_simultaneous_arrival_completion_and_churn_parity():
     results = {}
-    for engine in ("rounds", "events"):
+    for fast_forward in (False, True):
         sim = make_sim(
             _collision_jobs(),
-            engine=engine,
+            fast_forward=fast_forward,
             cluster_manager=BoundaryChurn(fail_at=1500.0, recover_at=2400.0),
         )
-        results[engine] = sim.run()
-    assert_identical(results["rounds"], results["events"])
-    completions = {j.job_id: j.completion_time for j in results["events"].jobs}
+        results[fast_forward] = sim.run()
+    assert_identical(results[False], results[True])
+    completions = {j.job_id: j.completion_time for j in results[True].jobs}
     # The collision actually happened: job 1 completed at the same boundary
     # where jobs 2/3 arrived and the churn fired.
     assert completions[1] == 1500.0
@@ -255,11 +238,52 @@ def test_simultaneous_arrival_completion_and_churn_parity():
 def test_simultaneous_events_parity_without_churn():
     """Arrival + completion tied at one boundary, static membership."""
     results = {}
-    for engine in ("rounds", "events"):
-        results[engine] = make_sim(_collision_jobs(), engine=engine).run()
-    assert_identical(results["rounds"], results["events"])
-    completions = {j.job_id: j.completion_time for j in results["events"].jobs}
+    for fast_forward in (False, True):
+        results[fast_forward] = make_sim(_collision_jobs(), fast_forward=fast_forward).run()
+    assert_identical(results[False], results[True])
+    completions = {j.job_id: j.completion_time for j in results[True].jobs}
     assert completions[1] == 1500.0
+
+
+# ----------------------------------------------------------------------
+# Per-round manager hooks
+# ----------------------------------------------------------------------
+
+
+class ProgressHookManager(BloxManager):
+    """Observes every progress step through an ``update_metrics`` override."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def update_metrics(self, cluster_state, job_state):
+        super().update_metrics(cluster_state, job_state)
+        self.seen.append(
+            (self.round_number, job_state.count_with_status(JobStatus.RUNNING))
+        )
+
+
+def test_update_metrics_override_sees_every_round():
+    """Batched strides bypass ``update_metrics``, so such managers step per round.
+
+    The fuzz corpus draws this manager only alongside a collector, which
+    forces the per-round path on its own; this run has nothing else that
+    would.
+    """
+    trace = generate_philly_trace(num_jobs=20, jobs_per_hour=2.0, seed=3)
+    sims = {
+        fast_forward: make_sim(
+            trace.fresh_jobs(),
+            fast_forward=fast_forward,
+            manager_factory=ProgressHookManager,
+        )
+        for fast_forward in (False, True)
+    }
+    results = {fast_forward: sim.run() for fast_forward, sim in sims.items()}
+    assert_identical(results[False], results[True])
+    assert sims[True].manager.seen == sims[False].manager.seen
+    assert sims[True].manager.seen
 
 
 # ----------------------------------------------------------------------
@@ -268,24 +292,20 @@ def test_simultaneous_events_parity_without_churn():
 
 
 def test_round_log_disabled_parity():
-    """round_log_limit=0 (the streaming configuration) keeps engine parity."""
+    """round_log_limit=0 (the streaming configuration) keeps stepping parity."""
     trace = generate_philly_trace(num_jobs=30, jobs_per_hour=5.0, seed=17)
-    results = {}
-    for engine in ("rounds", "events"):
-        results[engine] = make_sim(
-            trace.fresh_jobs(), engine=engine, round_log_limit=0
-        ).run()
-    rounds, events = results["rounds"], results["events"]
-    assert {j.job_id: j.completion_time for j in rounds.jobs} == {
-        j.job_id: j.completion_time for j in events.jobs
+    stepping = make_sim(trace.fresh_jobs(), fast_forward=False, round_log_limit=0).run()
+    skipping = make_sim(trace.fresh_jobs(), round_log_limit=0).run()
+    assert {j.job_id: j.completion_time for j in stepping.jobs} == {
+        j.job_id: j.completion_time for j in skipping.jobs
     }
-    assert rounds.rounds == events.rounds
-    assert rounds.end_time == events.end_time
-    assert list(rounds.round_log) == list(events.round_log) == []
+    assert stepping.rounds == skipping.rounds
+    assert stepping.end_time == skipping.end_time
+    assert list(stepping.round_log) == list(skipping.round_log) == []
 
 
 def test_event_engine_is_deterministic():
     trace = generate_philly_trace(num_jobs=25, jobs_per_hour=6.0, seed=5)
-    first = make_sim(trace.fresh_jobs(), engine="events").run()
-    second = make_sim(trace.fresh_jobs(), engine="events").run()
+    first = make_sim(trace.fresh_jobs()).run()
+    second = make_sim(trace.fresh_jobs()).run()
     assert_identical(first, second)

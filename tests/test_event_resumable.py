@@ -1,15 +1,16 @@
-"""Event-engine interplay with every resumable-loop surface.
+"""The skip executor on every resumable-loop surface, against the stepping loop.
 
 The event core is a skip *executor* inside the round loop, so everything
-built on the loop's pausability must behave identically on both engines:
+built on the loop's pausability must behave identically with fast-forward on
+and with the stepping loop (``fast_forward=False``):
 
 * ``_advance_loop(stop_time)`` pause/resume on a plain simulator;
 * federation shards (``run_until``/``submit``/``finish`` driven by the
-  serial engine) built on ``engine="events"``;
+  serial engine);
 * the deployment path (:class:`CentralScheduler` composes the simulator);
-* trace record -> replay -> diff round-trips, with the engine choice carried
-  in the trace header and the recorded event streams bit-identical across
-  engines.
+* trace record -> replay -> diff round-trips, with the recorded event
+  streams bit-identical to the stepping loop's and trace headers recorded
+  while the simulator still had an engine switch still replaying.
 """
 
 import json
@@ -25,7 +26,8 @@ from repro.runtime.central_scheduler import CentralScheduler
 from repro.simulator.engine import Simulator
 from repro.simulator.overheads import OverheadModel
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError
-from repro.telemetry.runspec import RunSpec
+from repro.telemetry.runspec import LEGACY_ENGINES, RunSpec, run_recorded
+from repro.telemetry.sinks import open_sink
 from repro.trace import main as trace_main
 from repro.workloads.philly import generate_philly_trace
 
@@ -38,14 +40,14 @@ def small_trace(num_jobs=30, seed=13, jobs_per_hour=6.0):
     )
 
 
-def make_sim(trace, engine, **kwargs):
+def make_sim(trace, fast_forward=True, **kwargs):
     return Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
         jobs=trace.fresh_jobs(),
         scheduling_policy=FifoScheduling(),
         placement_policy=ConsolidatedPlacement(),
         round_duration=ROUND,
-        engine=engine,
+        fast_forward=fast_forward,
         **kwargs,
     )
 
@@ -66,12 +68,14 @@ def assert_identical(first, second):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["rounds", "events"])
-def test_paused_and_resumed_loop_matches_uninterrupted_run(engine):
+@pytest.mark.parametrize(
+    "fast_forward", [True, False], ids=["fast-forward", "stepping"]
+)
+def test_paused_and_resumed_loop_matches_uninterrupted_run(fast_forward):
     trace = small_trace()
-    uninterrupted = make_sim(trace, engine).run()
+    uninterrupted = make_sim(trace, fast_forward).run()
 
-    paused = make_sim(trace, engine)
+    paused = make_sim(trace, fast_forward)
     for stop_time in (2_000.0, 9_000.0, 30_000.0):
         assert paused._advance_loop(stop_time) is False
         assert paused.manager.current_time >= stop_time
@@ -80,31 +84,25 @@ def test_paused_and_resumed_loop_matches_uninterrupted_run(engine):
 
 
 def test_pause_points_are_engine_invariant():
-    """Both engines paused at the same stop_time stand at the same round."""
+    """Skipping and stepping paused at one stop_time stand at the same round."""
     trace = small_trace()
-    sims = {engine: make_sim(trace, engine) for engine in ("rounds", "events")}
+    stepping, skipping = make_sim(trace, False), make_sim(trace, True)
     for stop_time in (1_500.0, 12_000.0):
-        for sim in sims.values():
+        for sim in (stepping, skipping):
             assert sim._advance_loop(stop_time) is False
-        assert (
-            sims["rounds"].manager.round_number
-            == sims["events"].manager.round_number
-        )
-        assert (
-            sims["rounds"].manager.current_time
-            == sims["events"].manager.current_time
-        )
-    for sim in sims.values():
+        assert stepping.manager.round_number == skipping.manager.round_number
+        assert stepping.manager.current_time == skipping.manager.current_time
+    for sim in (stepping, skipping):
         assert sim._advance_loop(None) is True
-    assert_identical(sims["rounds"].build_result(), sims["events"].build_result())
+    assert_identical(stepping.build_result(), skipping.build_result())
 
 
 # ----------------------------------------------------------------------
-# Federation shards on the event engine
+# Federation shards
 # ----------------------------------------------------------------------
 
 
-def _run_federation(engine, scheduling=FifoScheduling, router_name="round-robin"):
+def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-robin"):
     trace = small_trace(num_jobs=40, seed=7)
     shards = build_uniform_shards(
         2,
@@ -112,7 +110,7 @@ def _run_federation(engine, scheduling=FifoScheduling, router_name="round-robin"
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
-        engine=engine,
+        fast_forward=fast_forward,
     )
     engine_obj = FederationEngine(
         shards,
@@ -125,22 +123,24 @@ def _run_federation(engine, scheduling=FifoScheduling, router_name="round-robin"
 
 @pytest.mark.parametrize("scheduling", [FifoScheduling, SrtfScheduling])
 def test_federation_shards_event_engine_parity(scheduling):
-    rounds = _run_federation("rounds", scheduling=scheduling)
-    events = _run_federation("events", scheduling=scheduling)
-    assert rounds.assignments == events.assignments
-    for rounds_shard, events_shard in zip(rounds.shard_results, events.shard_results):
-        assert_identical(rounds_shard, events_shard)
+    stepping = _run_federation(False, scheduling=scheduling)
+    skipping = _run_federation(True, scheduling=scheduling)
+    assert stepping.assignments == skipping.assignments
+    for stepping_shard, skipping_shard in zip(
+        stepping.shard_results, skipping.shard_results
+    ):
+        assert_identical(stepping_shard, skipping_shard)
 
 
 # ----------------------------------------------------------------------
-# Deployment path (CentralScheduler) on the event engine
+# Deployment path (CentralScheduler)
 # ----------------------------------------------------------------------
 
 
 def test_central_scheduler_event_engine_parity():
     trace = small_trace(num_jobs=25, seed=21)
     results = {}
-    for engine in ("rounds", "events"):
+    for fast_forward in (False, True):
         scheduler = CentralScheduler(
             cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
             jobs=trace.fresh_jobs(),
@@ -148,26 +148,38 @@ def test_central_scheduler_event_engine_parity():
             placement_policy=ConsolidatedPlacement(),
             round_duration=ROUND,
             overhead_model=OverheadModel(),
-            engine=engine,
+            fast_forward=fast_forward,
         )
-        results[engine] = scheduler.run()
+        results[fast_forward] = scheduler.run()
         assert scheduler.leaked_leases() == 0
-    assert_identical(results["rounds"], results["events"])
+    assert_identical(results[False], results[True])
 
 
 # ----------------------------------------------------------------------
-# Trace record / replay / diff carries the engine
+# Trace record / replay / diff, legacy engine headers included
 # ----------------------------------------------------------------------
 
 
 def test_runspec_engine_round_trip_and_default():
-    spec = RunSpec(engine="events")
+    """Specs carry no engine; a legacy ``engine`` key is accepted and dropped."""
+    spec = RunSpec(policy="srtf", num_jobs=12)
+    assert "engine" not in spec.as_dict()
     assert RunSpec.from_dict(spec.as_dict()) == spec
-    # Traces recorded before the engine switch existed replay on the oracle.
-    legacy = {key: value for key, value in spec.as_dict().items() if key != "engine"}
-    assert RunSpec.from_dict(legacy).engine == "rounds"
+    for legacy in LEGACY_ENGINES:
+        assert RunSpec.from_dict({**spec.as_dict(), "engine": legacy}) == spec
     with pytest.raises(TraceFormatError, match="unknown engine"):
-        RunSpec(engine="instant")
+        RunSpec.from_dict({**spec.as_dict(), "engine": "instant"})
+
+
+def _with_header_engine(source, target, engine):
+    """Copy a trace, stamping ``engine`` into its header's run spec."""
+    with open(source) as handle:
+        header, *events = handle.readlines()
+    record = json.loads(header)
+    record["spec"]["engine"] = engine
+    with open(target, "w") as handle:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.writelines(events)
 
 
 @pytest.mark.parametrize("mode_args", [
@@ -176,27 +188,27 @@ def test_runspec_engine_round_trip_and_default():
     ["--mode", "federation", "--shards", "2"],
     ["--scenario", "steady", "--scenario-smoke"],
 ])
-def test_trace_record_replay_diff_event_engine(tmp_path, mode_args):
+def test_trace_record_replay_diff_event_engine(tmp_path, mode_args, capsys):
     spec_args = ["--jobs", "12", "--nodes", "4", "--seed", "11", *mode_args]
-    events_path = str(tmp_path / "events.jsonl")
-    rounds_path = str(tmp_path / "rounds.jsonl")
-    assert trace_main(
-        ["record", *spec_args, "--engine", "events", "--out", events_path]
-    ) == 0
-    assert trace_main(
-        ["record", *spec_args, "--engine", "rounds", "--out", rounds_path]
-    ) == 0
+    recorded = str(tmp_path / "trace.jsonl")
+    assert trace_main(["record", *spec_args, "--out", recorded]) == 0
+    assert trace_main(["replay", recorded]) == 0
+    assert trace_main(["diff", recorded, recorded]) == 0
 
-    # The replay re-drives each trace with the engine from its own header and
-    # must reproduce the stream bit-identically.
-    assert trace_main(["replay", events_path]) == 0
-    assert trace_main(["diff", events_path, events_path]) == 0
-
-    # Cross-engine: the recorded *event streams* (everything after the
-    # header, which embeds the spec and so legitimately differs) must be
-    # bit-identical -- telemetry is a parity surface, not just completions.
+    # The same spec recorded on the stepping loop: the *event streams*
+    # (everything after the header) must be bit-identical -- the skipped
+    # segments' round payloads are a parity surface, not just completions.
     # Wall-clock kinds (timing, supervisor) are excluded exactly as the
     # repo's own `trace diff` excludes them.
+    with open(recorded) as handle:
+        spec = RunSpec.from_dict(json.loads(handle.readline())["spec"])
+    stepped = str(tmp_path / "stepping.jsonl")
+    sink = open_sink(stepped)
+    try:
+        run_recorded(spec, sink, fast_forward=False)
+    finally:
+        sink.close()
+
     def stream(path):
         with open(path) as handle:
             lines = handle.readlines()[1:]
@@ -206,8 +218,20 @@ def test_trace_record_replay_diff_event_engine(tmp_path, mode_args):
             if json.loads(line)["kind"] not in NONDETERMINISTIC_KINDS
         ]
 
-    assert stream(events_path) == stream(rounds_path)
+    assert stream(recorded) == stream(stepped)
 
-    with open(events_path) as handle:
-        header = json.loads(handle.readline())
-    assert header["spec"]["engine"] == "events"
+    # Headers recorded under either value of the removed engine switch still
+    # replay, bit-identically: both values named the same schedule.
+    for legacy in LEGACY_ENGINES:
+        legacy_path = str(tmp_path / f"{legacy}.jsonl")
+        _with_header_engine(recorded, legacy_path, legacy)
+        assert trace_main(["replay", legacy_path]) == 0
+        assert trace_main(["diff", legacy_path, recorded]) == 0
+
+    # Any other engine value is malformed input: a typed format error
+    # (exit 2), never a silent replay.
+    bad_path = str(tmp_path / "bad.jsonl")
+    _with_header_engine(recorded, bad_path, "instant")
+    capsys.readouterr()
+    assert trace_main(["replay", bad_path]) == 2
+    assert "unknown engine" in capsys.readouterr().err
