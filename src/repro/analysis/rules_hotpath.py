@@ -6,15 +6,23 @@ disciplines: the progress fan-out only dispatches to observers that
 keeps it that way), and the innermost accounting functions stay free of
 logging/telemetry emission (H102).  Hot functions are marked either with a
 ``# hot-path`` comment on (or immediately above) the ``def`` line, or by
-listing ``<file>::<Qual.name>`` in the manifest's ``HOT_PATH_FUNCTIONS``.
+listing ``<file>::<Qual.name>`` in the manifest's ``HOT_PATH_FUNCTIONS``;
+H103 keeps those listings pointing at functions that exist.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
-from repro.analysis.core import FileContext, Rule, dotted_name, parent_of
+from repro.analysis.core import (
+    FileContext,
+    Finding,
+    ProjectState,
+    Rule,
+    dotted_name,
+    parent_of,
+)
 
 #: Call patterns banned inside hot functions: stdout, logging, warnings,
 #: and telemetry emission (``*.emit(...)`` is the TraceRecorder hot call).
@@ -162,4 +170,60 @@ class HotPathEmitRule(Rule):
         return False
 
 
-HOTPATH_RULES = (OnProgressOverrideRule, HotPathEmitRule)
+class StaleHotPathEntryRule(Rule):
+    """H103: a hot-path manifest entry names a function its file lacks.
+
+    H102 protects manifest-listed functions by qualified name, so renaming
+    or deleting one silently drops that protection.  Every entry whose file
+    was linted must name a function defined in it.
+    """
+
+    rule_id = "H103"
+    description = (
+        "hot-path manifest entry names a function that its linted file "
+        "does not define"
+    )
+    hint = (
+        "rename or remove the entry in HOT_PATH_FUNCTIONS "
+        "(repro/analysis/manifest.py)"
+    )
+
+    def __init__(self) -> None:
+        #: linted file -> qualified names of the functions it defines
+        self._defined: Dict[str, Set[str]] = {}
+
+    def begin_file(self, ctx: FileContext) -> None:
+        self._defined[ctx.rel] = set()
+
+    def visit_FunctionDef(self, ctx: FileContext, node: ast.FunctionDef) -> None:
+        self._defined[ctx.rel].add(_qualname(node))
+
+    def visit_AsyncFunctionDef(
+        self, ctx: FileContext, node: ast.AsyncFunctionDef
+    ) -> None:
+        self._defined[ctx.rel].add(_qualname(node))
+
+    def finalize(self, project: ProjectState) -> List[Finding]:
+        findings: List[Finding] = []
+        for entry in sorted(project.manifest.hot_path_functions):
+            suffix, qual = entry.split("::", 1)
+            for rel, defined in sorted(self._defined.items()):
+                if rel.replace("\\", "/").endswith(suffix) and qual not in defined:
+                    findings.append(
+                        Finding(
+                            rule=self.rule_id,
+                            severity=self.severity,
+                            path=rel,
+                            line=1,
+                            col=1,
+                            message=(
+                                f"hot-path manifest entry `{entry}` names no "
+                                "function in this file"
+                            ),
+                            hint=self.hint,
+                        )
+                    )
+        return findings
+
+
+HOTPATH_RULES = (OnProgressOverrideRule, HotPathEmitRule, StaleHotPathEntryRule)

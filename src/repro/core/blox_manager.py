@@ -81,9 +81,12 @@ class BloxManager:
         """Advance every running job over the round that just elapsed."""
         if self.round_number == 0:
             return
-        round_start = self.current_time - self.round_duration
-        for job in job_state.running_jobs():
-            self.execution.advance(job, cluster_state, round_start, self.round_duration)
+        self.execution.advance(
+            job_state.running_jobs(),
+            cluster_state,
+            self.current_time - self.round_duration,
+            self.round_duration,
+        )
 
     def prune_completed_jobs(
         self, cluster_state: ClusterState, job_state: JobState

@@ -458,8 +458,8 @@ class Simulator:
         policy_bound: Optional[float] = None
         running = job_state.count_with_status(JobStatus.RUNNING)
         active = job_state.count_active()
-        # A stride can run in *steady* mode -- per-job tight-loop accounting
-        # via ExecutionModel.advance_steady plus batched round records -- when
+        # A stride can run in *steady* mode -- one ExecutionModel.advance call
+        # over the whole stride plus batched round records -- when
         # per-round observation is provably equivalent to batched observation:
         # no metric collectors sample intermediate rounds, the rate model is
         # drift-free (no per-round jitter RNG), and the stride is bounded to

@@ -32,9 +32,9 @@ On the batched paths the clock jumps from event to event:
   observable product -- the round log, the accumulated clock, and each
   running job's progress accounting -- is materialised in batch:
   constant-field :class:`~repro.simulator.engine.RoundRecord` rows, an exact
-  clock jump, and
-  :meth:`~repro.simulator.execution.ExecutionModel.advance_steady_bulk`
-  constant-delta folds.  With the round log disabled
+  clock jump, and one
+  :meth:`~repro.simulator.execution.ExecutionModel.advance` call per stride
+  (``rounds=k``), batched over the running jobs.  With the round log disabled
   (``round_log_limit=0``) and no trace recorder attached, a whole segment is
   literally O(1).
 
@@ -47,9 +47,10 @@ harness exercises:
    (``while clock + rd < horizon: clock += rd``), with a closed form only
    where float accumulation is provably exact (integral clock and round
    duration below 2**53);
-2. **progress accounting** -- deferred/batched advancement replays the exact
-   per-round float fold of ``ExecutionModel.advance`` (same values, same
-   order), so completion times agree to the last bit;
+2. **progress accounting** -- a stride, a deferred flush and a stepped
+   round all go through ``ExecutionModel.advance``, whose one per-round
+   float fold the completion probe (``steady_scan``) replays too, so
+   completion times agree to the last bit;
 3. **tie-breaking** -- simultaneous events resolve by the heap's
    ``(time, kind, id)`` order, which encodes the round loop's implicit
    resolution: boundary kinds hand the round to the full loop (which then
@@ -386,7 +387,7 @@ class EventCore:
         return False
 
     def steady(self, horizon: float, round_log: List) -> bool:
-        """Decision-stable strides: batched records + bulk advancement."""
+        """Decision-stable strides: batched records + one batched advance."""
         sim = self.sim
         mgr = sim.manager
         job_state = sim.job_state
@@ -412,7 +413,7 @@ class EventCore:
         self._append_records(rounds - 1)
         mgr.advance_time()
         final_round_start = mgr.current_time - mgr.round_duration
-        execution.advance_steady_bulk(
+        execution.advance(
             [job for job, _rate in advancing],
             sim.cluster_state,
             final_round_start,
@@ -477,17 +478,16 @@ class EventCore:
             advanced_through[job.job_id] = upto_round
             if owed <= 0:
                 return False
-            return execution.advance_steady(
-                job, sim.cluster_state, final_round_start, rd, owed
-            )
+            execution.advance([job], sim.cluster_state, final_round_start, rd, owed)
+            return job.status == JobStatus.COMPLETED
 
         def flush_all() -> None:
             # Jobs flushed mid-chain are exactly the completed ones, so every
-            # still-running job owes the same span -- one bulk fold.
+            # still-running job owes the same span -- one batched advance.
             flushing = [job for job in jobs if job.status == JobStatus.RUNNING]
             owed = mgr.round_number - entry_round
             if owed > 0 and flushing:
-                execution.advance_steady_bulk(
+                execution.advance(
                     flushing, sim.cluster_state, mgr.current_time - rd, rd, owed
                 )
                 for job in flushing:

@@ -16,13 +16,7 @@ policies "on a common footing" as the paper argues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised indirectly via advance_steady_bulk
-    import numpy as _np
-except ImportError:  # pragma: no cover - the scalar path is always available
-    _np = None
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.abstractions import TerminationPolicy
 from repro.core.cluster_state import ClusterState
@@ -36,22 +30,93 @@ from repro.simulator.overheads import OverheadModel
 #: when moving from 100 Gbps P100 clusters to 10 Gbps V100 clusters (Fig. 10).
 REFERENCE_NETWORK_BW_GBPS = 40.0
 
-#: Below this many jobs the per-round numpy call overhead exceeds the scalar
-#: loop it replaces; elementwise float64 adds are bit-identical either way,
-#: so the threshold is purely a speed knob.
-BULK_NUMPY_MIN_JOBS = 16
 
+def _fold(
+    target: float,
+    rate: float,
+    round_duration: float,
+    work: float,
+    pending: float,
+    service: float,
+    num_gpus: int,
+    rounds: int,
+    first_test: int,
+) -> Tuple[Optional[int], float, float, float, float, float]:
+    """The per-round progress fold shared by every advancement and probe.
 
-@dataclass
-class RoundProgress:
-    """What happened to one job during one round (returned for logging/tests)."""
+    Replays up to ``rounds`` rounds from ``(work, pending, service)`` and
+    returns ``(completing, work, pending, service, overhead_used,
+    compute_seconds)``: ``completing`` is the 1-based round in which the job
+    reaches ``target`` (the state is then taken at that round's end and the
+    last two values are that round's overhead and compute seconds), or
+    ``None`` with the state after all ``rounds``.
 
-    job_id: int
-    work_done: float
-    compute_seconds: float
-    overhead_seconds: float
-    completed: bool
-    effective_rate: float
+    Each round charges pending overhead first, then computes at ``rate`` on
+    the rest of the round.  The general arm runs while overhead drains; once
+    pending is exactly 0.0 every later round has ``overhead_used == 0.0`` and
+    ``available == round_duration``, so the constant-operand arm folds with
+    precomputed deltas and no min/max calls -- identical values, identical
+    float-operation order.  With a non-positive rate the rounds after the
+    drain add exactly 0.0 to work and service and can never complete, so
+    the fold stops there.
+
+    The completion test is skipped on constant-arm rounds before
+    ``first_test``: it is monotone there (work only grows), so its failing
+    at ``first_test`` proves it failed at every earlier round, and its
+    passing reports a completion no later than ``first_test``.
+    """
+    i = 1
+    while i <= rounds and pending != 0.0:
+        overhead_used = min(pending, round_duration)
+        pending -= overhead_used
+        available = round_duration - overhead_used
+        if rate <= 0:
+            compute_seconds = 0.0
+            work_delta = 0.0
+        else:
+            remaining = max(0.0, target - work)
+            compute_seconds = remaining / rate
+            if compute_seconds <= available:
+                return (
+                    i,
+                    work + remaining,
+                    pending,
+                    service + num_gpus * (compute_seconds + overhead_used),
+                    overhead_used,
+                    compute_seconds,
+                )
+            compute_seconds = available
+            work_delta = available * rate
+        work += work_delta
+        service += num_gpus * (compute_seconds + overhead_used)
+        i += 1
+    if rate <= 0 or i > rounds:
+        return None, work, pending, service, 0.0, 0.0
+    work_delta = round_duration * rate
+    service_delta = num_gpus * (round_duration + 0.0)
+    for _ in range(first_test - i):
+        work += work_delta
+        service += service_delta
+    if first_test > i:
+        i = first_test
+    while i <= rounds:
+        remaining = target - work
+        if remaining < 0.0:
+            remaining = 0.0
+        compute_seconds = remaining / rate
+        if compute_seconds <= round_duration:
+            return (
+                i,
+                work + remaining,
+                pending,
+                service + num_gpus * (compute_seconds + 0.0),
+                0.0,
+                compute_seconds,
+            )
+        work += work_delta
+        service += service_delta
+        i += 1
+    return None, work, pending, service, 0.0, 0.0
 
 
 class ExecutionModel:
@@ -153,64 +218,60 @@ class ExecutionModel:
 
     def advance(
         self,
-        job: Job,
+        jobs: Iterable[Job],
         cluster_state: ClusterState,
-        round_start: float,
+        final_round_start: float,
         round_duration: float,
-    ) -> RoundProgress:
-        """Advance one running job across one round of wall-clock time.
+        rounds: int = 1,
+    ) -> None:
+        """Advance running jobs across ``rounds`` rounds of wall-clock time.
 
-        Updates ``work_done``, ``attained_service`` and application metrics on
-        the job; marks it completed (with a sub-round-accurate completion time)
-        if it reaches its termination target during the round.
+        The one method that changes job progress: the stepping loop calls it
+        once per round with every running job, the skip executor with whole
+        strides.  Each job's ``work_done``, ``attained_service`` and
+        ``pending_overhead`` end exactly where ``rounds`` one-round calls
+        would leave them (the same per-round float fold, see :func:`_fold`);
+        the application metrics are pure functions of that final state and
+        the constant rate, so they are pushed once.  A job reaching its
+        termination target is marked completed with a sub-round-accurate
+        completion time; strides are sized (via :meth:`steady_scan`) so a
+        completion can only fall in their last round, which starts at
+        ``final_round_start``.
         """
-        if job.status != JobStatus.RUNNING:
-            raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
-        if not num_gpus:
-            raise SimulationError(f"running job {job.job_id} holds no GPUs")
-        if fragmented:
-            job.metrics["was_fragmented"] = True
-        available = round_duration
-
-        overhead_used = min(job.pending_overhead, available)
-        job.pending_overhead -= overhead_used
-        available -= overhead_used
-
-        target = self.termination.work_target(job)
-        remaining = max(0.0, target - job.work_done)
-
-        completed = False
-        if rate <= 0:
-            compute_seconds = 0.0
-            work = 0.0
-        else:
-            time_to_finish = remaining / rate
-            if time_to_finish <= available:
-                compute_seconds = time_to_finish
-                work = remaining
-                completed = True
-            else:
-                compute_seconds = available
-                work = available * rate
-
-        job.work_done += work
-        job.attained_service += num_gpus * (compute_seconds + overhead_used)
-        self._update_app_metrics(job, rate)
-
-        if completed:
-            # completion_time first: the status setter notifies JobState
-            # observers, which read the JCT off the job.
-            job.completion_time = round_start + overhead_used + compute_seconds
-            job.status = JobStatus.COMPLETED
-        return RoundProgress(
-            job_id=job.job_id,
-            work_done=work,
-            compute_seconds=compute_seconds,
-            overhead_seconds=overhead_used,
-            completed=completed,
-            effective_rate=rate,
-        )
+        work_target = self.termination.work_target
+        for job in jobs:
+            if job.status != JobStatus.RUNNING:
+                raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
+            rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
+            if not num_gpus:
+                raise SimulationError(f"running job {job.job_id} holds no GPUs")
+            completing, work, pending, service, overhead_used, compute_seconds = _fold(
+                work_target(job),
+                rate,
+                round_duration,
+                job.work_done,
+                job.pending_overhead,
+                job.attained_service,
+                num_gpus,
+                rounds,
+                rounds - 1,
+            )
+            if completing is not None and completing != rounds:
+                raise SimulationError(
+                    f"job {job.job_id} completes before the last of its {rounds} "
+                    "stride rounds; the stride was sized past its completion"
+                )
+            if fragmented:
+                job.metrics["was_fragmented"] = True
+            job.work_done = work
+            job.attained_service = service
+            job.pending_overhead = pending
+            self._update_app_metrics(job, rate)
+            if completing is not None:
+                # completion_time first: the status setter notifies JobState
+                # observers, which read the JCT off the job.
+                job.completion_time = final_round_start + overhead_used + compute_seconds
+                job.status = JobStatus.COMPLETED
 
     @staticmethod
     def steady_scan(
@@ -223,273 +284,27 @@ class ExecutionModel:
     ) -> Tuple[Optional[int], float, float]:
         """Pure, resumable probe of the round in which a job would complete.
 
-        Replays up to ``max_rounds`` rounds of the per-round accounting of
-        :meth:`advance` under a constant ``rate`` -- without mutating any
-        job, so the skip executor can size strides exactly -- from the
-        explicit ``(work, pending)`` state and returns
-        ``(completing_round, work, pending)`` where ``completing_round`` is
-        1-based within *this* scan or ``None``.  When no completion is found
-        the returned state is exactly the state after ``max_rounds`` rounds,
-        so a caller can resume the scan later from where it stopped -- the
-        event core's completion-probe cache uses this to amortise probing
-        across fast-forward entries (each round of a job's life is scanned at
-        most once per allocation epoch).  On a completion the returned state
-        is mid-round and must not be resumed from.
+        Replays up to ``max_rounds`` rounds of :meth:`advance`'s fold under a
+        constant ``rate`` -- without mutating any job, so the skip executor
+        can size strides exactly -- from the explicit ``(work, pending)``
+        state and returns ``(completing_round, work, pending)`` where
+        ``completing_round`` is 1-based within *this* scan or ``None``.  When
+        no completion is found the returned state is exactly the state after
+        ``max_rounds`` rounds, so a caller can resume the scan later from
+        where it stopped -- the event core's completion-probe cache uses this
+        to amortise probing across fast-forward entries (each round of a
+        job's life is scanned at most once per allocation epoch).  On a
+        completion the returned state is that of the completing round and
+        must not be resumed from.
 
-        The per-round operations are identical, in identical order, to
-        :meth:`advance` under a constant rate -- that identity is what lets a
-        probe taken rounds ago still name the exact absolute completion
-        round, because every execution path (full rounds, steady strides,
-        deferred flushes) replays this same fold.
-        """
-        if rate <= 0:
-            return None, work, pending
-        # General fold only while overhead is draining; once pending hits
-        # exactly 0.0 every later round has overhead_used == 0.0 and
-        # available == round_duration, so the loop switches to a fast fold
-        # with constant operands and no min/max calls -- identical values,
-        # identical float-operation order.
-        i = 1
-        while i <= max_rounds and pending != 0.0:
-            overhead_used = min(pending, round_duration)
-            pending -= overhead_used
-            available = round_duration - overhead_used
-            remaining = max(0.0, target - work)
-            if remaining / rate <= available:
-                return i, work, pending
-            work += available * rate
-            i += 1
-        work_delta = round_duration * rate
-        while i <= max_rounds:
-            remaining = target - work
-            if remaining < 0.0:
-                remaining = 0.0
-            if remaining / rate <= round_duration:
-                return i, work, pending
-            work += work_delta
-            i += 1
-        return None, work, pending
-
-    def advance_steady(
-        self,
-        job: Job,
-        cluster_state: ClusterState,
-        final_round_start: float,
-        round_duration: float,
-        rounds: int,
-        rate: Optional[float] = None,
-    ) -> bool:
-        """Advance one running job across ``rounds`` steady-state rounds at once.
-
-        Used by the simulator's fast-forward when the job's allocation,
-        placement and rate are constant across the stride: the per-round
-        work/overhead/service accounting is replayed in a tight loop with
-        exactly the floating-point operations :meth:`advance` would perform
-        (same values, same order, per job), so the job's state after the call
-        is bit-identical to ``rounds`` individual ``advance`` calls --
-        including the sub-round completion time if the job finishes in the
-        stride's final round (callers size strides with :meth:`steady_scan`
-        so a completion can only fall there).
-        The application metrics are pure functions of the final state and the
-        constant rate, so they are flushed once at the end instead of per
+        Because the probe and every execution path run the same fold, a
+        probe taken rounds ago still names the exact absolute completion
         round.
-
-        ``final_round_start`` is the wall-clock start of the stride's *last*
-        round, taken from the manager's accumulated clock so a completion time
-        assigned here is bit-identical to the one ``advance`` would assign.
-        Returns whether the job completed.
         """
-        if job.status != JobStatus.RUNNING:
-            raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        if rate is None:
-            rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
-        else:
-            fragmented = len(cluster_state.nodes_for_job(job.job_id)) > 1
-            num_gpus = cluster_state.num_gpus_for_job(job.job_id)
-        if not num_gpus:
-            raise SimulationError(f"running job {job.job_id} holds no GPUs")
-        if fragmented:
-            job.metrics["was_fragmented"] = True
-
-        target = self.termination.work_target(job)
-        work = job.work_done
-        attained = job.attained_service
-        pending = job.pending_overhead
-        completed = False
-        overhead_used = 0.0
-        compute_seconds = 0.0
-        # General fold only while overhead drains (or the rate is
-        # non-positive); once pending hits exactly 0.0 with a positive rate,
-        # every later round has overhead_used == 0.0 and available ==
-        # round_duration, so the loop switches to a fast fold of two adds per
-        # non-completing round with constant operands and no min/max calls.
-        # Both arms perform identical float operations in identical order.
-        index = 0
-        while index < rounds and (pending != 0.0 or rate <= 0):
-            overhead_used = min(pending, round_duration)
-            pending -= overhead_used
-            available = round_duration - overhead_used
-            remaining = max(0.0, target - work)
-            if rate <= 0:
-                compute_seconds = 0.0
-                work_delta = 0.0
-            else:
-                time_to_finish = remaining / rate
-                if time_to_finish <= available:
-                    compute_seconds = time_to_finish
-                    work_delta = remaining
-                    completed = True
-                else:
-                    compute_seconds = available
-                    work_delta = available * rate
-            work += work_delta
-            attained += num_gpus * (compute_seconds + overhead_used)
-            if completed:
-                if index != rounds - 1:
-                    raise SimulationError(
-                        f"job {job.job_id} completed in stride round {index + 1} "
-                        f"of {rounds}; the stride was sized past its completion"
-                    )
-                break
-            index += 1
-        if not completed and index < rounds:
-            work_delta = round_duration * rate
-            service_delta = num_gpus * (round_duration + 0.0)
-            overhead_used = 0.0
-            while index < rounds:
-                remaining = target - work
-                if remaining < 0.0:
-                    remaining = 0.0
-                compute_seconds = remaining / rate
-                if compute_seconds <= round_duration:
-                    completed = True
-                    work += remaining
-                    attained += num_gpus * (compute_seconds + 0.0)
-                    if index != rounds - 1:
-                        raise SimulationError(
-                            f"job {job.job_id} completed in stride round {index + 1} "
-                            f"of {rounds}; the stride was sized past its completion"
-                        )
-                    break
-                work += work_delta
-                attained += service_delta
-                index += 1
-        job.work_done = work
-        job.attained_service = attained
-        job.pending_overhead = pending
-        self._update_app_metrics(job, rate)
-        if completed:
-            job.completion_time = final_round_start + overhead_used + compute_seconds
-            job.status = JobStatus.COMPLETED
-        return completed
-
-    def advance_steady_bulk(
-        self,
-        jobs: Sequence[Job],
-        cluster_state: ClusterState,
-        final_round_start: float,
-        round_duration: float,
-        rounds: int,
-    ) -> None:
-        """Advance many running jobs ``rounds`` steady rounds each, batched.
-
-        Bit-identical to calling :meth:`advance_steady` per job in ``jobs``
-        order, but the common case -- no pending overhead, positive rate, no
-        completion inside the stride -- collapses each job's round loop to two
-        float additions per round with constant, precomputed deltas (the
-        per-round operands never change once the overhead is drained), and
-        vectorises those additions across jobs with numpy when the batch is
-        large (elementwise IEEE-754 float64 adds are bit-identical to the
-        scalar fold).
-
-        Callers size ``rounds`` strictly before every job's probed completion
-        round; the fast path *verifies* that claim rather than trusting it.
-        The per-round completion test ``remaining / rate <= available`` is
-        monotone along the stride (work never decreases, so remaining never
-        increases), so testing it once at the final round with the exact
-        values the classic loop would use proves every earlier round took the
-        no-completion arm.  Any job failing the check -- or carrying pending
-        overhead -- is replayed through :meth:`advance_steady`, preserving its
-        exact completion/error semantics.
-        """
-        if rounds <= 0:
-            return
-        fast: list = []  # (job, rate, num_gpus) for the pure constant-delta fold
-        for job in jobs:
-            if job.status != JobStatus.RUNNING:
-                raise SimulationError(
-                    f"cannot advance job {job.job_id} in status {job.status}"
-                )
-            rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
-            if not num_gpus:
-                raise SimulationError(f"running job {job.job_id} holds no GPUs")
-            if job.pending_overhead != 0.0:
-                # Overhead rounds change the per-round operands; rare (the
-                # launch round's full advance usually drains it), so the
-                # classic replay is fine.
-                self.advance_steady(
-                    job, cluster_state, final_round_start, round_duration, rounds
-                )
-                continue
-            if fragmented:
-                job.metrics["was_fragmented"] = True
-            if rate <= 0:
-                # Every round adds exactly 0.0 work and 0.0 service; the fold
-                # is a no-op regardless of length (and such a job can never
-                # complete), so only the end-of-stride metric flush remains.
-                self._update_app_metrics(job, rate)
-                continue
-            fast.append((job, rate, num_gpus))
-        if not fast:
-            return
-
-        work_delta = [round_duration * rate for _job, rate, _n in fast]
-        service_delta = [
-            # advance() computes num_gpus * (compute_seconds + overhead_used);
-            # with overhead 0.0 that inner sum is exactly round_duration.
-            num_gpus * (round_duration + 0.0)
-            for _job, _rate, num_gpus in fast
-        ]
-        if _np is not None and len(fast) >= BULK_NUMPY_MIN_JOBS:
-            works = _np.array([job.work_done for job, _r, _n in fast])
-            services = _np.array([job.attained_service for job, _r, _n in fast])
-            wdelta = _np.array(work_delta)
-            sdelta = _np.array(service_delta)
-            for _ in range(rounds - 1):
-                _np.add(works, wdelta, out=works)
-                _np.add(services, sdelta, out=services)
-            final_work = [float(v) for v in works]
-            final_service = [float(v) for v in services]
-        else:
-            final_work = [job.work_done for job, _r, _n in fast]
-            final_service = [job.attained_service for job, _r, _n in fast]
-            for index in range(len(fast)):
-                work = final_work[index]
-                service = final_service[index]
-                wdelta_i = work_delta[index]
-                sdelta_i = service_delta[index]
-                for _ in range(rounds - 1):
-                    work += wdelta_i
-                    service += sdelta_i
-                final_work[index] = work
-                final_service[index] = service
-
-        for index, (job, rate, _num_gpus) in enumerate(fast):
-            # Completion-safety check at the stride's final round, with the
-            # exact operands the classic loop's test would use there.
-            target = self.termination.work_target(job)
-            remaining = max(0.0, target - final_work[index])
-            if remaining / rate <= round_duration:
-                # A completion (or the stride-overrun error) belongs inside
-                # the stride after all: hand the untouched job to the exact
-                # replay.  Monotonicity means only this job is affected.
-                self.advance_steady(
-                    job, cluster_state, final_round_start, round_duration, rounds
-                )
-                continue
-            job.work_done = final_work[index] + work_delta[index]
-            job.attained_service = final_service[index] + service_delta[index]
-            self._update_app_metrics(job, rate)
+        completing, work, pending, _service, _overhead, _compute = _fold(
+            target, rate, round_duration, work, pending, 0.0, 0, max_rounds, 0
+        )
+        return completing, work, pending
 
     def _update_app_metrics(self, job: Job, rate: float) -> None:
         """Push the application-level metrics the paper's schedulers consume."""

@@ -90,8 +90,9 @@ class _ShadowSimulator:
         time = start_time
         for round_index in range(self.horizon_rounds):
             if round_index > 0:
-                for job in jobs.running_jobs():
-                    execution.advance(job, cluster, time - self.round_duration, self.round_duration)
+                execution.advance(
+                    jobs.running_jobs(), cluster, time - self.round_duration, self.round_duration
+                )
             for job in jobs.finished_jobs():
                 if cluster.gpus_for_job(job.job_id):
                     cluster.release_job(job.job_id)

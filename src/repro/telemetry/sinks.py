@@ -2,7 +2,8 @@
 
 A sink accepts one :class:`~repro.telemetry.events.TraceHeader` followed by
 any number of :class:`~repro.telemetry.events.TraceEvent` records.  All three
-stock sinks are stdlib-only and append-oriented:
+stock sinks are stdlib-only (the file sinks encode with orjson when it is
+installed, byte-identically) and append-oriented:
 
 * :class:`JsonlSink` -- one JSON object per line; the first line is the
   header (recognisable by its ``schema_version`` key).  The cheapest sink
@@ -97,32 +98,27 @@ _ENCODE = json.JSONEncoder(
     ensure_ascii=False, sort_keys=True, separators=(",", ":")
 ).encode
 
-try:  # optional accelerator; the stdlib encoder below is the fallback
-    import orjson as _orjson
-except ImportError:  # pragma: no cover - depends on the environment
-    _orjson = None
 
-if _orjson is not None:
-    # orjson with OPT_SORT_KEYS produces the same compact sorted form as
-    # the stdlib encoder above at ~5x less per-event cost, which is what
-    # keeps recording inside the bench's overhead gate.
-    def _encode_json(
-        obj, _dumps=_orjson.dumps, _opt=_orjson.OPT_SORT_KEYS
-    ) -> str:
-        return _dumps(obj, option=_opt).decode()
+def _encoders():
+    """``(encode_json, encode_line)`` for the file sinks.
 
-    def _encode_line(
-        record,
-        _dumps=_orjson.dumps,
-        _opt=_orjson.OPT_SORT_KEYS | _orjson.OPT_APPEND_NEWLINE,
-    ) -> bytes:
-        return _dumps(record, option=_opt)
-
-else:
-    _encode_json = _ENCODE
-
-    def _encode_line(record) -> bytes:
-        return (_ENCODE(record) + "\n").encode("utf-8")
+    orjson with OPT_SORT_KEYS produces the same compact sorted form as the
+    stdlib encoder above at ~5x less per-event cost, which is what keeps
+    recording inside the bench's overhead gate, so it is used when installed.
+    It is imported when a file sink opens, not with this module: a run that
+    records nothing loads no third-party module.
+    """
+    try:
+        import orjson
+    except ImportError:  # pragma: no cover - depends on the environment
+        return _ENCODE, lambda record: (_ENCODE(record) + "\n").encode("utf-8")
+    dumps = orjson.dumps
+    sort_keys = orjson.OPT_SORT_KEYS
+    line_opts = sort_keys | orjson.OPT_APPEND_NEWLINE
+    return (
+        lambda obj: dumps(obj, option=sort_keys).decode(),
+        lambda record: dumps(record, option=line_opts),
+    )
 
 
 class JsonlSink(TraceSink):
@@ -133,6 +129,7 @@ class JsonlSink(TraceSink):
         # Binary handle: lines are encoded straight to UTF-8 bytes, skipping
         # the TextIOWrapper layer on the per-event hot path.
         self._handle: Optional[io.BufferedWriter] = open(self.path, "wb")
+        self._encode_line = _encoders()[1]
 
     def write_header(self, header: TraceHeader) -> None:
         self._write_line(header.as_record())
@@ -152,7 +149,7 @@ class JsonlSink(TraceSink):
         if handle is None:
             raise TraceFormatError(f"trace sink {self.path} already closed")
         handle.write(
-            _encode_line(
+            self._encode_line(
                 {
                     "kind": kind,
                     "payload": payload if payload else {},
@@ -170,7 +167,7 @@ class JsonlSink(TraceSink):
         write = handle.write
         seq = 0
 
-        def emit(kind: str, time: float, payload, _encode=_encode_line) -> None:
+        def emit(kind: str, time: float, payload, _encode=self._encode_line) -> None:
             nonlocal seq
             seq += 1
             write(
@@ -190,7 +187,7 @@ class JsonlSink(TraceSink):
     def _write_line(self, record) -> None:
         if self._handle is None:
             raise TraceFormatError(f"trace sink {self.path} already closed")
-        self._handle.write(_encode_line(record))
+        self._handle.write(self._encode_line(record))
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -231,6 +228,7 @@ class SqliteSink(TraceSink):
             """
         )
         self._pending: List[Tuple[str, int, float, str, str]] = []
+        self._encode_json = _encoders()[0]
 
     def write_header(self, header: TraceHeader) -> None:
         if self._conn is None:
@@ -246,7 +244,7 @@ class SqliteSink(TraceSink):
     def emit_record(
         self, source: str, seq: int, time: float, kind: str, payload
     ) -> None:
-        self._pending.append((source, seq, time, kind, _encode_json(payload)))
+        self._pending.append((source, seq, time, kind, self._encode_json(payload)))
         if len(self._pending) >= self._BATCH:
             self._drain()
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ALL_RULES, lint_source, lint_sources, rule_catalog
+from repro.analysis import ALL_RULES, lint_paths, lint_source, lint_sources, rule_catalog
 from repro.analysis.baseline import Baseline
 from repro.analysis.manifest import LintManifest, default_manifest
 
@@ -28,8 +28,17 @@ def rules_of(findings):
     return [f.rule for f in findings]
 
 
-def lint(code, path=SIM, **kwargs):
-    return lint_source(textwrap.dedent(code), virtual_path=path, **kwargs)
+#: Some fixtures stand in for real manifest-listed files (core/job.py,
+#: core/job_state.py) without defining their hot functions, which H103
+#: would report; fixtures lint against an empty hot-path list unless a test
+#: passes its own manifest.
+FIXTURE_MANIFEST = LintManifest(hot_path_functions=frozenset())
+
+
+def lint(code, path=SIM, manifest=FIXTURE_MANIFEST, **kwargs):
+    return lint_source(
+        textwrap.dedent(code), virtual_path=path, manifest=manifest, **kwargs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +542,42 @@ def test_h102_unmarked_function_is_clean():
         path=NONSIM,
     )
     assert findings == []
+
+
+def test_h103_stale_manifest_entry():
+    manifest = LintManifest(
+        hot_path_functions=frozenset(
+            {
+                "repro/bench/fixture.py::Model.advance",
+                "repro/bench/fixture.py::Model.advance_steady",
+                # Not linted in this run, so not checked.
+                "repro/simulator/elsewhere.py::Gone.advance",
+            }
+        )
+    )
+    findings = lint(
+        """
+        class Model:
+            def advance(self, job):
+                return job
+        """,
+        path=NONSIM,
+        manifest=manifest,
+    )
+    assert rules_of(findings) == ["H103"]
+    assert "Model.advance_steady" in findings[0].message
+    assert findings[0].path == NONSIM
+
+
+def test_h103_real_manifest_names_existing_functions():
+    manifest = default_manifest()
+    result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT, manifest=manifest)
+    assert [f for f in result.findings if f.rule == "H103"] == []
+    # Not vacuous: every entry's file was part of that run.
+    linted = {p.relative_to(REPO_ROOT).as_posix() for p in (REPO_ROOT / "src").rglob("*.py")}
+    for entry in manifest.hot_path_functions:
+        suffix = entry.split("::", 1)[0]
+        assert any(rel.endswith(suffix) for rel in linted), entry
 
 
 # ---------------------------------------------------------------------------
